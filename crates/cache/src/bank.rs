@@ -7,6 +7,10 @@
 //! so a multi-way bank behaves as one segment of the distributed LRU
 //! stack: it accepts pushed-down blocks at its top and evicts from its
 //! bottom.
+//!
+//! All frames live in one contiguous allocation, set after set
+//! (`frames[set * ways + way]`): building, clearing and dropping a bank
+//! cost one allocation and one linear pass whatever its geometry.
 
 /// One cached block: its tag and dirty bit. (Data values are not
 /// simulated; only placement and movement matter.)
@@ -18,13 +22,44 @@ pub struct Block {
     pub dirty: bool,
 }
 
+/// The flat index range of `set` in a `sets × ways` set-major array.
+/// The explicit range check is what both flat containers rely on: a
+/// position is then checked against the `ways`-long slice, so neither
+/// an out-of-range `set` nor an out-of-range position can alias a
+/// neighbouring set.
+pub(crate) fn set_range(set: usize, sets: usize, ways: usize) -> std::ops::Range<usize> {
+    assert!(set < sets, "set {set} out of range ({sets} sets)");
+    set * ways..(set + 1) * ways
+}
+
+/// Removes and returns the frame at `pos` of a recency-ordered slice;
+/// the survivors keep their order and the hole sinks to the bottom, so
+/// the next pushed-down block fills from the top.
+pub(crate) fn extract_at(ways: &mut [Option<Block>], pos: usize) -> Option<Block> {
+    ways[pos..].rotate_left(1);
+    ways.last_mut().and_then(Option::take)
+}
+
+/// Pushes `block` onto the top of a recency-ordered slice. The
+/// bottom-most empty frame absorbs the push; a full slice evicts and
+/// returns its bottom block.
+pub(crate) fn push_top(ways: &mut [Option<Block>], block: Block) -> Option<Block> {
+    let end = ways
+        .iter()
+        .rposition(Option::is_none)
+        .unwrap_or(ways.len() - 1);
+    ways[..=end].rotate_right(1);
+    ways[0].replace(block)
+}
+
 /// A bank of `ways × sets` frames with per-set recency order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bank {
     ways: usize,
     sets: usize,
-    /// `frames[set]`: ways in recency order, `None` = empty frame.
-    frames: Vec<Vec<Option<Block>>>,
+    /// `frames[set * ways + way]`: each set's ways in recency order,
+    /// `None` = empty frame.
+    frames: Vec<Option<Block>>,
 }
 
 impl Bank {
@@ -39,7 +74,7 @@ impl Bank {
         Bank {
             ways,
             sets,
-            frames: vec![vec![None; ways]; sets],
+            frames: vec![None; ways * sets],
         }
     }
 
@@ -53,30 +88,35 @@ impl Bank {
         self.sets
     }
 
+    fn set(&self, set: usize) -> &[Option<Block>] {
+        &self.frames[set_range(set, self.sets, self.ways)]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Option<Block>] {
+        &mut self.frames[set_range(set, self.sets, self.ways)]
+    }
+
     /// Whether `tag` is present in `set` (tag match; no state change).
     ///
     /// # Panics
     ///
-    /// Panics if `set` is out of range.
+    /// Panics if `set` is out of range, as does every method taking a
+    /// `set`.
     pub fn probe(&self, set: usize, tag: u32) -> bool {
-        self.frames[set].iter().flatten().any(|b| b.tag == tag)
+        self.set(set).iter().flatten().any(|b| b.tag == tag)
     }
 
     /// Removes and returns the block with `tag` from `set`, leaving a
     /// hole. Used when a hit block departs toward the MRU bank.
     pub fn extract(&mut self, set: usize, tag: u32) -> Option<Block> {
-        let ways = &mut self.frames[set];
+        let ways = self.set_mut(set);
         let pos = ways.iter().position(|b| b.is_some_and(|b| b.tag == tag))?;
-        let blk = ways.remove(pos);
-        // Keep the recency order of the survivors; the hole sinks to the
-        // bottom so the next pushed-down block fills from the top.
-        ways.push(None);
-        blk
+        extract_at(ways, pos)
     }
 
     /// Marks `tag` dirty in `set`; returns whether it was present.
     pub fn mark_dirty(&mut self, set: usize, tag: u32) -> bool {
-        for b in self.frames[set].iter_mut().flatten() {
+        for b in self.set_mut(set).iter_mut().flatten() {
             if b.tag == tag {
                 b.dirty = true;
                 return true;
@@ -89,22 +129,12 @@ impl Bank {
     /// and returning the bottom block when the set is full. Empty frames
     /// absorb the push without eviction.
     pub fn push_top(&mut self, set: usize, block: Block) -> Option<Block> {
-        let ways = &mut self.frames[set];
-        // Drop the bottom-most empty frame if one exists, else evict the
-        // bottom block.
-        let evicted = if let Some(hole) = ways.iter().rposition(Option::is_none) {
-            ways.remove(hole);
-            None
-        } else {
-            ways.pop().expect("ways is non-empty")
-        };
-        ways.insert(0, Some(block));
-        evicted
+        push_top(self.set_mut(set), block)
     }
 
     /// The block currently at the bottom (least recent way) of `set`.
     pub fn peek_bottom(&self, set: usize) -> Option<Block> {
-        self.frames[set].iter().rev().flatten().next().copied()
+        self.set(set).iter().rev().flatten().next().copied()
     }
 
     /// Removes and returns the bottom (least recent) block of `set`,
@@ -113,11 +143,9 @@ impl Bank {
     /// travels to the next bank while the hole awaits the block pushed
     /// down from the previous bank.
     pub fn evict_bottom(&mut self, set: usize) -> Option<Block> {
-        let ways = &mut self.frames[set];
-        let pos = ways.iter().rposition(|b| b.is_some())?;
-        let blk = ways.remove(pos);
-        ways.push(None);
-        blk
+        // Everything below the last block is already a hole, so taking
+        // it in place leaves the hole at the bottom.
+        self.set_mut(set).iter_mut().rev().find_map(Option::take)
     }
 
     /// Moves `tag` to the top of its set (an internal-hit touch).
@@ -145,27 +173,24 @@ impl Bank {
             self.ways,
             "frame count must equal associativity"
         );
-        self.frames[set].clear();
-        self.frames[set].extend_from_slice(frames);
+        self.set_mut(set).copy_from_slice(frames);
     }
 
     /// Empties every frame in place, returning the bank to its
     /// just-constructed state without touching the frame storage: the
     /// warm-reset path's way of reusing a bank across sweep points.
     pub fn clear(&mut self) {
-        for set in &mut self.frames {
-            set.fill(None);
-        }
+        self.frames.fill(None);
     }
 
     /// All blocks of `set` in recency order (holes skipped).
     pub fn blocks(&self, set: usize) -> Vec<Block> {
-        self.frames[set].iter().flatten().copied().collect()
+        self.set(set).iter().flatten().copied().collect()
     }
 
     /// Number of valid blocks in `set`.
     pub fn occupancy(&self, set: usize) -> usize {
-        self.frames[set].iter().flatten().count()
+        self.set(set).iter().flatten().count()
     }
 }
 
@@ -286,5 +311,162 @@ mod tests {
         let mut bank = Bank::new(1, 2);
         assert_eq!(bank.push_top(0, b(1)), None);
         assert_eq!(bank.push_top(0, b(2)), Some(b(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "set 4 out of range")]
+    fn out_of_range_set_panics_on_write() {
+        let mut bank = Bank::new(2, 4);
+        bank.push_top(4, b(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "set 2 out of range")]
+    fn out_of_range_set_panics_on_read() {
+        let bank = Bank::new(4, 2);
+        let _ = bank.probe(2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "frame count must equal associativity")]
+    fn load_set_rejects_wrong_width() {
+        let mut bank = Bank::new(2, 2);
+        bank.load_set(0, &[None; 3]);
+    }
+
+    /// The nested one-`Vec`-per-set bank this crate used before the flat
+    /// layout, kept as the reference the flat [`Bank`] is fuzzed against.
+    struct NestedBank {
+        frames: Vec<Vec<Option<Block>>>,
+    }
+
+    impl NestedBank {
+        fn new(ways: usize, sets: usize) -> Self {
+            NestedBank {
+                frames: vec![vec![None; ways]; sets],
+            }
+        }
+
+        fn probe(&self, set: usize, tag: u32) -> bool {
+            self.frames[set].iter().flatten().any(|b| b.tag == tag)
+        }
+
+        fn extract(&mut self, set: usize, tag: u32) -> Option<Block> {
+            let ways = &mut self.frames[set];
+            let pos = ways.iter().position(|b| b.is_some_and(|b| b.tag == tag))?;
+            let blk = ways.remove(pos);
+            ways.push(None);
+            blk
+        }
+
+        fn mark_dirty(&mut self, set: usize, tag: u32) -> bool {
+            for b in self.frames[set].iter_mut().flatten() {
+                if b.tag == tag {
+                    b.dirty = true;
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn push_top(&mut self, set: usize, block: Block) -> Option<Block> {
+            let ways = &mut self.frames[set];
+            let evicted = if let Some(hole) = ways.iter().rposition(Option::is_none) {
+                ways.remove(hole);
+                None
+            } else {
+                ways.pop().expect("ways is non-empty")
+            };
+            ways.insert(0, Some(block));
+            evicted
+        }
+
+        fn evict_bottom(&mut self, set: usize) -> Option<Block> {
+            let ways = &mut self.frames[set];
+            let pos = ways.iter().rposition(|b| b.is_some())?;
+            let blk = ways.remove(pos);
+            ways.push(None);
+            blk
+        }
+
+        fn touch(&mut self, set: usize, tag: u32) -> bool {
+            let Some(blk) = self.extract(set, tag) else {
+                return false;
+            };
+            self.push_top(set, blk);
+            true
+        }
+
+        fn load_set(&mut self, set: usize, frames: &[Option<Block>]) {
+            self.frames[set].clear();
+            self.frames[set].extend_from_slice(frames);
+        }
+
+        fn clear(&mut self) {
+            for set in &mut self.frames {
+                set.fill(None);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Every operation returns the same value on the flat bank as on
+        /// the nested reference, and leaves every set — holes included —
+        /// with the same frames.
+        #[test]
+        fn flat_bank_matches_nested_reference(
+            ways in 1usize..9,
+            sets in 1usize..5,
+            ops in proptest::collection::vec(
+                (0u8..9, 0usize..4, 0u32..12, proptest::bool::ANY, 0u64..u64::MAX),
+                1..200,
+            ),
+        ) {
+            let mut flat = Bank::new(ways, sets);
+            let mut nested = NestedBank::new(ways, sets);
+            for (op, set, tag, dirty, bits) in ops {
+                let set = set % sets;
+                let block = Block { tag, dirty };
+                match op {
+                    0 => assert_eq!(flat.probe(set, tag), nested.probe(set, tag)),
+                    1 => assert_eq!(flat.extract(set, tag), nested.extract(set, tag)),
+                    // Twice as many pushes as any other op, so sets fill.
+                    2 | 3 => assert_eq!(flat.push_top(set, block), nested.push_top(set, block)),
+                    4 => assert_eq!(flat.evict_bottom(set), nested.evict_bottom(set)),
+                    5 => assert_eq!(flat.touch(set, tag), nested.touch(set, tag)),
+                    6 => assert_eq!(flat.mark_dirty(set, tag), nested.mark_dirty(set, tag)),
+                    7 => {
+                        // Arbitrary frames, holes anywhere: way `w` is
+                        // occupied when bit `w` of `bits` is set.
+                        let frames: Vec<Option<Block>> = (0..ways)
+                            .map(|w| {
+                                (bits >> w & 1 == 1).then_some(Block {
+                                    tag: tag + w as u32,
+                                    dirty: bits >> (w + 8) & 1 == 1,
+                                })
+                            })
+                            .collect();
+                        flat.load_set(set, &frames);
+                        nested.load_set(set, &frames);
+                    }
+                    // Rare: most sequences should build up state.
+                    _ if bits % 8 == 0 => {
+                        flat.clear();
+                        nested.clear();
+                        assert_eq!(flat, Bank::new(ways, sets), "clear() == fresh");
+                    }
+                    _ => {}
+                }
+                for s in 0..sets {
+                    assert_eq!(flat.set(s), &nested.frames[s][..], "set {s} after op {op}");
+                    assert_eq!(
+                        flat.peek_bottom(s),
+                        nested.frames[s].iter().rev().flatten().next().copied()
+                    );
+                }
+            }
+        }
     }
 }

@@ -16,8 +16,13 @@
 //! * **Promotion** (D-NUCA) — a hit swaps the block with the one in the
 //!   next-closer position; a miss installs at position 0 with recursive
 //!   push-down (the paper's implementation, §6.1 footnote).
+//!
+//! Every stack lives in one contiguous allocation, set after set
+//! (`stack[set * ways + position]`), and the model lists the sets it
+//! has touched, so a model that replayed a short trace can be read out
+//! and emptied again in time proportional to the trace, not the cache.
 
-use crate::bank::Block;
+use crate::bank::{extract_at, push_top, set_range, Block};
 
 /// Replacement policy of a bank set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +67,7 @@ impl AccessResult {
 }
 
 /// Functional model of one bank set (all sets of one column).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct BankSetModel {
     ways: usize,
     sets: usize,
@@ -71,9 +76,29 @@ pub struct BankSetModel {
     /// blocks at *bank* granularity (D-NUCA), so multi-way banks change
     /// its behaviour; LRU/Fast-LRU are segment-agnostic.
     segments: Vec<usize>,
-    /// `stack[set][position]`; position 0 is the MRU (closest) way.
-    stack: Vec<Vec<Option<Block>>>,
+    /// `stack[set * ways + position]`; position 0 is the MRU (closest)
+    /// way.
+    stack: Vec<Option<Block>>,
+    /// The sets holding at least one block, in first-touch order. An
+    /// access never empties a set, so these are exactly the sets
+    /// accessed since construction or the last [`BankSetModel::clear`].
+    /// Capacity `sets` from the start: `access` never allocates.
+    touched: Vec<usize>,
 }
+
+/// Two models are equal when they have the same geometry, policy and
+/// contents; the order in which their sets were first touched is not
+/// part of their value.
+impl PartialEq for BankSetModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.sets == other.sets
+            && self.policy == other.policy
+            && self.segments == other.segments
+            && self.stack == other.stack
+    }
+}
+
+impl Eq for BankSetModel {}
 
 impl BankSetModel {
     /// Creates an empty bank set of `ways` ways × `sets` sets, with
@@ -106,7 +131,8 @@ impl BankSetModel {
             sets,
             policy,
             segments,
-            stack: vec![vec![None; ways]; sets],
+            stack: vec![None; ways * sets],
+            touched: Vec::with_capacity(sets),
         }
     }
 
@@ -131,94 +157,98 @@ impl BankSetModel {
     ///
     /// Panics if `set` is out of range.
     pub fn access(&mut self, set: usize, tag: u32, write: bool) -> AccessResult {
-        let ways = &mut self.stack[set];
-        if let Some(pos) = ways.iter().position(|b| b.is_some_and(|b| b.tag == tag)) {
+        let stack = &mut self.stack[set_range(set, self.sets, self.ways)];
+        if let Some(pos) = stack.iter().position(|b| b.is_some_and(|b| b.tag == tag)) {
             if write {
-                ways[pos].as_mut().expect("position found above").dirty = true;
+                stack[pos].as_mut().expect("position found above").dirty = true;
             }
             match self.policy {
-                ReplacementPolicy::Promotion => Self::promote(&self.segments, ways, pos),
+                ReplacementPolicy::Promotion => Self::promote(&self.segments, stack, pos),
                 ReplacementPolicy::Lru | ReplacementPolicy::FastLru => {
-                    let blk = ways.remove(pos);
-                    ways.insert(0, blk);
+                    stack[..=pos].rotate_right(1);
                 }
             }
             return AccessResult::Hit { position: pos };
         }
+        if stack.iter().all(Option::is_none) {
+            self.touched.push(set);
+        }
         // Miss: install at MRU, push everything down, evict the LRU.
-        let evicted = ways.pop().expect("ways is non-empty").filter(|_| true);
-        ways.insert(0, Some(Block { tag, dirty: write }));
+        stack.rotate_right(1);
+        let evicted = stack[0].replace(Block { tag, dirty: write });
         AccessResult::Miss { evicted }
     }
 
     /// D-NUCA promotion at bank granularity: the hit block moves onto
     /// the *top* of the next-closer bank; that bank's bottom block
     /// descends onto the top of the hit bank. With one-way banks this
-    /// degenerates to the classic position swap.
-    fn promote(segments: &[usize], ways: &mut Vec<Option<Block>>, pos: usize) {
-        // Split the flat stack into per-bank sub-stacks and mirror the
-        // timed protocol's extract/push_top operations on them.
-        let mut banks: Vec<Vec<Option<Block>>> = Vec::with_capacity(segments.len());
-        let mut off = 0usize;
-        let mut bank = 0usize;
-        for (i, &w) in segments.iter().enumerate() {
-            banks.push(ways[off..off + w].to_vec());
-            if (off..off + w).contains(&pos) {
-                bank = i;
-            }
-            off += w;
+    /// degenerates to the classic position swap. Mirrors the timed
+    /// protocol's extract/push_top operations on the two banks' slices
+    /// of the stack.
+    fn promote(segments: &[usize], stack: &mut [Option<Block>], pos: usize) {
+        // `off`: stack position of the hit bank's top.
+        let (mut bank, mut off) = (0usize, 0usize);
+        while pos >= off + segments[bank] {
+            off += segments[bank];
+            bank += 1;
         }
         if bank == 0 {
             // Hit in the MRU bank: internal touch to its top.
-            let blk = ways.remove(pos);
-            ways.insert(0, blk);
+            stack[..=pos].rotate_right(1);
             return;
         }
+        let (closer, farther) = stack.split_at_mut(off);
+        let prev_bank = &mut closer[off - segments[bank - 1]..];
+        let hit_bank = &mut farther[..segments[bank]];
         // Extract the hit block; the hole sinks to the bank's bottom.
-        let within = pos - segments[..bank].iter().sum::<usize>();
-        let hit = banks[bank].remove(within);
-        banks[bank].push(None);
-        // Push the hit block onto the previous bank's top; a bottom hole
-        // absorbs it, otherwise the bottom block is displaced.
-        let displaced = {
-            let pb = &mut banks[bank - 1];
-            let out = if let Some(h) = pb.iter().rposition(Option::is_none) {
-                pb.remove(h);
-                None
-            } else {
-                pb.pop().expect("banks have at least one way")
-            };
-            pb.insert(0, hit);
-            out
-        };
-        // The displaced block descends onto the hit bank's top, filling
-        // the extraction hole.
-        if let Some(d) = displaced {
-            let hb = &mut banks[bank];
-            let h = hb
-                .iter()
-                .rposition(Option::is_none)
-                .expect("extraction left a hole");
-            hb.remove(h);
-            hb.insert(0, Some(d));
+        let hit = extract_at(hit_bank, pos - off).expect("caller found the tag at pos");
+        // Push it onto the previous bank's top; a bottom hole absorbs
+        // it, otherwise the bottom block is displaced and descends onto
+        // the hit bank's top, filling the extraction hole.
+        if let Some(displaced) = push_top(prev_bank, hit) {
+            let overflow = push_top(hit_bank, displaced);
+            debug_assert!(overflow.is_none(), "extraction left a hole");
         }
-        *ways = banks.concat();
-        debug_assert_eq!(ways.len(), segments.iter().sum::<usize>());
     }
 
     /// Block at (`set`, `position`), if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` or `position` is out of range.
     pub fn block_at(&self, set: usize, position: usize) -> Option<Block> {
-        self.stack[set][position]
+        self.stack_of(set)[position]
     }
 
     /// The full stack of `set` (holes included) in position order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is out of range.
     pub fn stack_of(&self, set: usize) -> &[Option<Block>] {
-        &self.stack[set]
+        &self.stack[set_range(set, self.sets, self.ways)]
     }
 
     /// Number of resident blocks in `set`.
     pub fn occupancy(&self, set: usize) -> usize {
-        self.stack[set].iter().flatten().count()
+        self.stack_of(set).iter().flatten().count()
+    }
+
+    /// The sets accessed since construction or the last
+    /// [`BankSetModel::clear`], each once, in first-touch order. Every
+    /// other set is empty.
+    pub fn touched_sets(&self) -> &[usize] {
+        &self.touched
+    }
+
+    /// Empties the model in time proportional to the touched sets,
+    /// keeping its storage: afterwards it equals a freshly constructed
+    /// model of the same geometry and policy.
+    pub fn clear(&mut self) {
+        for &set in &self.touched {
+            self.stack[set_range(set, self.sets, self.ways)].fill(None);
+        }
+        self.touched.clear();
     }
 }
 
@@ -333,6 +363,7 @@ mod tests {
             assert_eq!(lru.access(set, tag, write), fast.access(set, tag, write));
         }
         assert_eq!(lru.stack, fast.stack);
+        assert_eq!(lru.touched_sets(), fast.touched_sets());
     }
 
     #[test]
@@ -426,5 +457,166 @@ mod tests {
                                // (2) descends; bank 1 becomes [2, hole].
         m.access(0, 1, false);
         assert_eq!(tags(&m, 0), vec![Some(1), Some(3), Some(2), None]);
+    }
+
+    #[test]
+    #[should_panic(expected = "set 2 out of range")]
+    fn out_of_range_set_panics() {
+        let mut m = BankSetModel::new(4, 2, ReplacementPolicy::Lru);
+        m.access(2, 1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn out_of_range_position_does_not_alias_the_next_set() {
+        // Flat index 0 * 4 + 4 is set 1's MRU way; the per-set slice
+        // must refuse it.
+        let mut m = BankSetModel::new(4, 2, ReplacementPolicy::Lru);
+        m.access(1, 7, false);
+        let _ = m.block_at(0, 4);
+    }
+
+    #[test]
+    fn equality_ignores_touch_order() {
+        let mut a = BankSetModel::new(2, 4, ReplacementPolicy::Lru);
+        let mut b = a.clone();
+        for set in [0, 3, 1] {
+            a.access(set, 5, false);
+        }
+        for set in [1, 0, 3] {
+            b.access(set, 5, false);
+        }
+        assert_ne!(a.touched_sets(), b.touched_sets());
+        assert_eq!(a, b);
+        b.access(2, 5, false);
+        assert_ne!(a, b);
+    }
+
+    /// The nested one-`Vec`-per-set model (and its scratch-`Vec`
+    /// `promote`) this crate used before the flat layout, kept as the
+    /// reference the flat [`BankSetModel`] is fuzzed against.
+    struct NestedModel {
+        policy: ReplacementPolicy,
+        segments: Vec<usize>,
+        stack: Vec<Vec<Option<Block>>>,
+    }
+
+    impl NestedModel {
+        fn new(segments: Vec<usize>, sets: usize, policy: ReplacementPolicy) -> Self {
+            let ways = segments.iter().sum();
+            NestedModel {
+                policy,
+                segments,
+                stack: vec![vec![None; ways]; sets],
+            }
+        }
+
+        fn access(&mut self, set: usize, tag: u32, write: bool) -> AccessResult {
+            let ways = &mut self.stack[set];
+            if let Some(pos) = ways.iter().position(|b| b.is_some_and(|b| b.tag == tag)) {
+                if write {
+                    ways[pos].as_mut().expect("position found above").dirty = true;
+                }
+                match self.policy {
+                    ReplacementPolicy::Promotion => Self::promote(&self.segments, ways, pos),
+                    ReplacementPolicy::Lru | ReplacementPolicy::FastLru => {
+                        let blk = ways.remove(pos);
+                        ways.insert(0, blk);
+                    }
+                }
+                return AccessResult::Hit { position: pos };
+            }
+            let evicted = ways.pop().expect("ways is non-empty");
+            ways.insert(0, Some(Block { tag, dirty: write }));
+            AccessResult::Miss { evicted }
+        }
+
+        fn promote(segments: &[usize], ways: &mut Vec<Option<Block>>, pos: usize) {
+            let mut banks: Vec<Vec<Option<Block>>> = Vec::with_capacity(segments.len());
+            let mut off = 0usize;
+            let mut bank = 0usize;
+            for (i, &w) in segments.iter().enumerate() {
+                banks.push(ways[off..off + w].to_vec());
+                if (off..off + w).contains(&pos) {
+                    bank = i;
+                }
+                off += w;
+            }
+            if bank == 0 {
+                let blk = ways.remove(pos);
+                ways.insert(0, blk);
+                return;
+            }
+            let within = pos - segments[..bank].iter().sum::<usize>();
+            let hit = banks[bank].remove(within);
+            banks[bank].push(None);
+            let displaced = {
+                let pb = &mut banks[bank - 1];
+                let out = if let Some(h) = pb.iter().rposition(Option::is_none) {
+                    pb.remove(h);
+                    None
+                } else {
+                    pb.pop().expect("banks have at least one way")
+                };
+                pb.insert(0, hit);
+                out
+            };
+            if let Some(d) = displaced {
+                let hb = &mut banks[bank];
+                let h = hb
+                    .iter()
+                    .rposition(Option::is_none)
+                    .expect("extraction left a hole");
+                hb.remove(h);
+                hb.insert(0, Some(d));
+            }
+            *ways = banks.concat();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Under every policy and bank segmentation, each access returns
+        /// the same result on the flat model as on the nested reference
+        /// and leaves every set with the same stack; the touched list is
+        /// exactly the distinct sets accessed; `clear()` restores a
+        /// fresh model.
+        #[test]
+        fn flat_model_matches_nested_reference(
+            policy_idx in 0usize..3,
+            segments_idx in 0usize..4,
+            sets in 1usize..6,
+            // Up to 24 tags over at most 16 ways: hits, holes and
+            // evictions all occur.
+            ops in proptest::collection::vec((0usize..6, 0u32..24, proptest::bool::ANY), 1..400),
+        ) {
+            let policy = [
+                ReplacementPolicy::Promotion,
+                ReplacementPolicy::Lru,
+                ReplacementPolicy::FastLru,
+            ][policy_idx];
+            let segments = [vec![1; 16], vec![1, 1, 2, 4, 8], vec![4], vec![2, 2]][segments_idx].clone();
+            let mut flat = BankSetModel::with_segments(segments.clone(), sets, policy);
+            let mut nested = NestedModel::new(segments.clone(), sets, policy);
+            let mut accessed = Vec::new();
+            for (set, tag, write) in ops {
+                let set = set % sets;
+                accessed.push(set);
+                assert_eq!(flat.access(set, tag, write), nested.access(set, tag, write));
+                for s in 0..sets {
+                    assert_eq!(flat.stack_of(s), &nested.stack[s][..], "set {s}");
+                }
+            }
+            let mut touched = flat.touched_sets().to_vec();
+            touched.sort_unstable();
+            accessed.sort_unstable();
+            accessed.dedup();
+            assert_eq!(touched, accessed, "touched sets == distinct sets accessed");
+
+            flat.clear();
+            assert!(flat.touched_sets().is_empty());
+            assert_eq!(flat, BankSetModel::with_segments(segments, sets, policy));
+        }
     }
 }

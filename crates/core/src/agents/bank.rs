@@ -57,10 +57,12 @@ pub struct BankAgent {
 }
 
 impl BankAgent {
-    /// Creates an empty bank of `place.ways × sets` frames.
-    pub fn new(place: BankPlace, ctx: BankCtx, sets: usize) -> Self {
+    /// Creates the protocol engine around `bank`, the frame array it
+    /// serves (`place.ways` ways, except under static NUCA, which folds
+    /// a set's full associativity into its home bank).
+    pub fn new(place: BankPlace, ctx: BankCtx, bank: Bank) -> Self {
         BankAgent {
-            bank: Bank::new(place.ways as usize, sets),
+            bank,
             place,
             ctx,
             busy_until: 0,
@@ -839,7 +841,7 @@ mod tests {
             is_last,
             positions: 16,
         };
-        BankAgent::new(place, ctx, 4)
+        BankAgent::new(place, ctx, Bank::new(place.ways as usize, 4))
     }
 
     fn walk(txn: u32, tag: u32, carry: Option<Block>) -> CacheMsg {

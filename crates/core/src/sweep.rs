@@ -38,7 +38,8 @@
 //! * each worker owns a [`SimArena`] that keeps the previous point's
 //!   simulator carcass and trace buffers alive, reviving them with
 //!   [`CacheSystem::reset_for`] instead of reconstructing, so a
-//!   steady-state fault-free point allocates nothing.
+//!   steady-state fault-free point allocates nothing before its timed
+//!   run starts.
 //!
 //! [`SweepRunner::reuse`]`(false)` restores the fresh-construction path
 //! (the benchmark harness uses it as the warm path's baseline).
@@ -218,9 +219,16 @@ fn run_traces(sys: &mut CacheSystem, traces: &[Trace]) -> Result<Metrics, SimErr
 /// Reusable per-worker simulation state for warm sweeps: one
 /// [`CacheSystem`] carcass revived between points via
 /// [`CacheSystem::reset_for`], plus per-core trace generators and trace
-/// buffers refilled in place. After the first point on a given
-/// structure, a fault-free point runs without allocating (enforced by
-/// `tests/alloc_free_sweep.rs`).
+/// buffers refilled in place.
+///
+/// What `tests/alloc_free_sweep.rs` proves about a fault-free,
+/// checker-free point after the first ones on a given structure: its
+/// set-up — `reset_for`, trace regeneration and the functional
+/// [`CacheSystem::warm`] — allocates exactly zero times; the whole point
+/// allocates the same number of times as the one before it (no creep),
+/// under a fixed ceiling, and fewer than fresh construction. The timed
+/// run itself still allocates (some tens of times per simulated access,
+/// in the agents and the injection queue); that is not gated to zero.
 ///
 /// Warm results are bit-identical to [`SweepPoint::try_run`]'s fresh
 /// construction for every point — the reset contract is covered by the

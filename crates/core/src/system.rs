@@ -6,7 +6,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use nucanet_cache::{AddressMap, BankSetModel, Block};
+use nucanet_cache::{AddressMap, Bank, BankSetModel, Block};
 use nucanet_noc::{
     Endpoint, FaultSchedule, NetEvent, Network, Packet, RoutingTable, SimError, Topology,
 };
@@ -206,6 +206,17 @@ pub struct CacheSystem {
     layout: SystemLayout,
     net: Network<CacheMsg>,
     banks: Vec<BankAgent>,
+    /// True while every bank is known to hold no block: set by
+    /// construction and [`CacheSystem::reset_for`], cleared by anything
+    /// that may install one. Lets [`CacheSystem::warm`] load only the
+    /// sets its trace touched.
+    banks_empty: bool,
+    /// One functional model per column, empty between warm-ups: the
+    /// warm-up replays into them, copies the touched sets into the
+    /// banks and clears them sparsely, so its cost follows the trace
+    /// length, not the cache size. (Empty under static NUCA, which warms
+    /// its home banks directly.)
+    warm_models: Vec<BankSetModel>,
     bank_by_endpoint: HashMap<Endpoint, usize>,
     memory: MemoryAgent,
     /// One controller per core; single-core systems have exactly one.
@@ -304,7 +315,8 @@ impl CacheSystem {
         let map = AddressMap::new(6, cfg.columns.trailing_zeros(), 10);
         let sets = map.sets() as usize;
         let positions = cfg.bank_kb.len();
-        if cfg.scheme == crate::scheme::Scheme::StaticNuca {
+        let static_nuca = cfg.scheme == crate::scheme::Scheme::StaticNuca;
+        if static_nuca {
             assert!(
                 sets.is_multiple_of(positions),
                 "static NUCA needs the bank count to divide the set count; \
@@ -340,18 +352,24 @@ impl CacheSystem {
                 bank_by_endpoint.insert(place.endpoint, b);
                 // Static NUCA folds each set's full associativity into
                 // its home bank: same capacity, 16 ways x fewer sets.
-                if cfg.scheme == crate::scheme::Scheme::StaticNuca {
-                    let mut agent = BankAgent::new(place, ctx, sets / positions);
-                    *agent.bank_mut() =
-                        nucanet_cache::Bank::new(cfg.total_ways() as usize, sets / positions);
-                    banks.push((b, agent));
+                let bank = if static_nuca {
+                    Bank::new(cfg.total_ways() as usize, sets / positions)
                 } else {
-                    banks.push((b, BankAgent::new(place, ctx, sets)));
-                }
+                    Bank::new(place.ways as usize, sets)
+                };
+                banks.push((b, BankAgent::new(place, ctx, bank)));
             }
         }
         banks.sort_by_key(|(b, _)| *b);
         let banks: Vec<BankAgent> = banks.into_iter().map(|(_, a)| a).collect();
+        let warm_models = if static_nuca {
+            Vec::new()
+        } else {
+            let segments: Vec<usize> = cfg.bank_ways.iter().map(|&w| w as usize).collect();
+            (0..cfg.columns)
+                .map(|_| BankSetModel::with_segments(segments.clone(), sets, cfg.scheme.policy()))
+                .collect()
+        };
 
         let columns: Vec<Vec<Endpoint>> = layout
             .by_column
@@ -406,6 +424,8 @@ impl CacheSystem {
             layout,
             net,
             banks,
+            banks_empty: true,
+            warm_models,
             bank_by_endpoint,
             memory,
             cores,
@@ -453,6 +473,7 @@ impl CacheSystem {
         for b in &mut self.banks {
             b.reset();
         }
+        self.banks_empty = true;
         self.memory.reset();
         self.locks.borrow_mut().reset();
         for c in &mut self.cores {
@@ -530,7 +551,22 @@ impl CacheSystem {
     /// Warm-accesses the cache *functionally* (no timing): contents are
     /// computed with the scheme's replacement policy and loaded straight
     /// into the banks, mirroring the paper's warm-up phase.
+    ///
+    /// Afterwards the cache holds exactly what replaying `accesses`
+    /// from an *empty* cache leaves, whatever it held before. (Static
+    /// NUCA is the exception: it warms its home banks in place, on top
+    /// of their current contents.) Cost is proportional to
+    /// `accesses.len()` when the banks are still empty from
+    /// construction or [`CacheSystem::reset_for`]; otherwise one pass
+    /// over the bank storage empties them first.
     pub fn warm(&mut self, accesses: &[L2Access]) {
+        self.warm_from(accesses.iter().copied());
+    }
+
+    /// [`CacheSystem::warm`] over any access stream, so `run_cmp` can
+    /// feed its interleaving without materialising it.
+    fn warm_from(&mut self, accesses: impl Iterator<Item = L2Access>) {
+        let was_empty = std::mem::replace(&mut self.banks_empty, false);
         if self.cfg.scheme == crate::scheme::Scheme::StaticNuca {
             // Static placement: warm each home bank's internal LRU set.
             let positions = self.cfg.bank_kb.len();
@@ -557,28 +593,29 @@ impl CacheSystem {
             }
             return;
         }
-        let sets = self.map.sets() as usize;
-        let segments: Vec<usize> = self.cfg.bank_ways.iter().map(|&w| w as usize).collect();
-        let mut models: Vec<BankSetModel> = (0..self.cfg.columns)
-            .map(|_| BankSetModel::with_segments(segments.clone(), sets, self.cfg.scheme.policy()))
-            .collect();
+        // Sets the trace does not touch must end up empty.
+        if !was_empty {
+            for b in &mut self.banks {
+                b.bank_mut().clear();
+            }
+        }
         for a in accesses {
             let b = self.map.decompose(a.addr);
-            models[b.column as usize].access(b.index as usize, b.tag, a.write);
+            self.warm_models[b.column as usize].access(b.index as usize, b.tag, a.write);
         }
-        // Split every stack into per-bank segments.
-        #[allow(clippy::needless_range_loop)] // parallel indexing into layout
-        for c in 0..self.cfg.columns as usize {
-            for set in 0..sets {
-                let stack = models[c].stack_of(set);
-                let mut offset = 0usize;
-                for &bid in &self.layout.by_column[c] {
-                    let ways_here = self.layout.banks[bid].ways as usize;
-                    let seg: Vec<Option<Block>> = stack[offset..offset + ways_here].to_vec();
-                    self.banks[bid].bank_mut().load_set(set, &seg);
-                    offset += ways_here;
+        // Split every touched stack into per-bank segments, then leave
+        // the models empty for the next warm-up.
+        for (model, bank_ids) in self.warm_models.iter_mut().zip(&self.layout.by_column) {
+            for &set in model.touched_sets() {
+                let mut stack = model.stack_of(set);
+                for &bid in bank_ids {
+                    let bank = self.banks[bid].bank_mut();
+                    let (here, beyond) = stack.split_at(bank.ways());
+                    bank.load_set(set, here);
+                    stack = beyond;
                 }
             }
+            model.clear();
         }
     }
 
@@ -603,6 +640,7 @@ impl CacheSystem {
     ///
     /// See [`CacheSystem::run`].
     pub fn run_timed(&mut self, accesses: &[L2Access]) -> Result<Metrics, SimError> {
+        self.banks_empty = false;
         let start_cycle = self.net.cycle();
         for a in accesses {
             let b = self.map.decompose(a.addr);
@@ -643,16 +681,12 @@ impl CacheSystem {
         assert_eq!(traces.len(), self.cores.len(), "one trace per core");
         // Interleave warm-ups round-robin so every core's working set is
         // resident.
-        let mut warm = Vec::new();
         let longest = traces.iter().map(|t| t.warmup().len()).max().unwrap_or(0);
-        for k in 0..longest {
-            for t in traces {
-                if let Some(a) = t.warmup().get(k) {
-                    warm.push(*a);
-                }
-            }
-        }
-        self.warm(&warm);
+        self.warm_from((0..longest).flat_map(|k| {
+            traces
+                .iter()
+                .filter_map(move |t| t.warmup().get(k).copied())
+        }));
         let start_cycle = self.net.cycle();
         for (i, t) in traces.iter().enumerate() {
             for a in t.measured() {
@@ -1120,6 +1154,136 @@ mod tests {
             m.records[0].hit_position,
             Some(0),
             "warmed block hits at MRU"
+        );
+    }
+
+    /// `n` pseudo-random accesses over every column, the given set
+    /// indices and 24 tags — enough to overflow 16 ways, so hits,
+    /// evictions and (under promotion) mid-stack holes all occur.
+    fn scatter(
+        map: AddressMap,
+        n: usize,
+        indices: std::ops::Range<u32>,
+        seed: u64,
+    ) -> Vec<L2Access> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let column = (x >> 10) as u32 % map.columns();
+                let index = indices.start + (x >> 20) as u32 % indices.len() as u32;
+                access(map, column, index, (x >> 40) as u32 % 24, x >> 60 & 1 == 1)
+            })
+            .collect()
+    }
+
+    /// Dense check of the sparse load: *every* set of *every* bank must
+    /// equal the matching segment of an independent replay of
+    /// `accesses` from an empty cache — untouched sets empty, holes
+    /// where the model has holes.
+    fn assert_banks_hold_replay_of(sys: &CacheSystem, accesses: &[L2Access]) {
+        let cfg = sys.config();
+        let map = sys.map();
+        let sets = map.sets() as usize;
+        let segments: Vec<usize> = cfg.bank_ways.iter().map(|&w| w as usize).collect();
+        let mut models: Vec<BankSetModel> = (0..cfg.columns)
+            .map(|_| BankSetModel::with_segments(segments.clone(), sets, cfg.scheme.policy()))
+            .collect();
+        for a in accesses {
+            let b = map.decompose(a.addr);
+            models[b.column as usize].access(b.index as usize, b.tag, a.write);
+        }
+        for (model, bank_ids) in models.iter().zip(&sys.layout.by_column) {
+            let mut offset = 0;
+            for &bid in bank_ids {
+                let bank = sys.banks[bid].bank();
+                let mut want = Bank::new(bank.ways(), sets);
+                for set in 0..sets {
+                    want.load_set(set, &model.stack_of(set)[offset..offset + bank.ways()]);
+                }
+                assert_eq!(bank, &want, "{}: bank {bid}", cfg.name);
+                offset += bank.ways();
+            }
+        }
+        assert!(
+            sys.warm_models.iter().all(|m| m.touched_sets().is_empty()),
+            "warm-up models must be left empty"
+        );
+    }
+
+    #[test]
+    fn warm_loads_exactly_the_replayed_contents() {
+        for design in [Design::A, Design::F] {
+            for scheme in [Scheme::MulticastFastLru, Scheme::UnicastPromotion] {
+                let mut sys = CacheSystem::new(&design.config(scheme));
+                let trace = scatter(sys.map(), 4_000, 3..27, 11);
+                sys.warm(&trace);
+                assert_banks_hold_replay_of(&sys, &trace);
+            }
+        }
+    }
+
+    #[test]
+    fn warm_on_a_used_system_starts_from_an_empty_cache() {
+        // No reset_for in between: the run's and the first warm-up's
+        // blocks, in sets the last trace never touches, must be gone.
+        let mut sys = CacheSystem::new(&Design::F.config(Scheme::MulticastFastLru));
+        let map = sys.map();
+        sys.run_timed(&scatter(map, 60, 500..520, 1)).unwrap();
+        let first = scatter(map, 2_000, 0..40, 2);
+        sys.warm(&first);
+        assert_banks_hold_replay_of(&sys, &first);
+        let second = scatter(map, 300, 30..70, 3);
+        sys.warm(&second);
+        assert_banks_hold_replay_of(&sys, &second);
+    }
+
+    #[test]
+    fn short_warm_after_long_warm_on_one_carcass_leaks_nothing() {
+        // A 30 000-access point, then a 40-access point over other sets
+        // on the reset carcass: neither the banks nor the persistent
+        // warm-up models may carry a stale set across.
+        for design in [Design::A, Design::F] {
+            let cfg = design.config(Scheme::MulticastFastLru);
+            let mut sys = CacheSystem::new(&cfg);
+            let map = sys.map();
+            sys.warm(&scatter(map, 30_000, 0..256, 4));
+            sys.run_timed(&scatter(map, 20, 0..256, 5)).unwrap();
+            assert!(sys.reset_for(&cfg));
+            let short = scatter(map, 40, 250..300, 6);
+            sys.warm(&short);
+            assert_banks_hold_replay_of(&sys, &short);
+
+            let mut fresh = CacheSystem::new(&cfg);
+            fresh.warm(&short);
+            for (a, b) in sys.banks.iter().zip(&fresh.banks) {
+                assert_eq!(a.bank(), b.bank());
+            }
+        }
+    }
+
+    #[test]
+    fn static_nuca_warm_accumulates_in_place() {
+        let mut sys = CacheSystem::new(&Design::A.config(Scheme::StaticNuca));
+        let map = sys.map();
+        sys.warm(&[access(map, 0, 3, 1, false)]);
+        sys.warm(&[access(map, 0, 3, 2, true)]);
+        let home = sys.layout.by_column[0][3];
+        assert_eq!(
+            sys.banks[home].bank().blocks(0),
+            vec![
+                Block {
+                    tag: 2,
+                    dirty: true
+                },
+                Block {
+                    tag: 1,
+                    dirty: false
+                }
+            ],
+            "the second warm-up lands on top of the first"
         );
     }
 

@@ -1,19 +1,23 @@
 //! Proves the warm-evaluation sweep path is allocation-free in steady
 //! state.
 //!
-//! Two properties, both behind a counting global allocator (its own
+//! Three properties, all behind a counting global allocator (its own
 //! integration-test binary, like `alloc_free_step`, because the
 //! `#[global_allocator]` is process-wide; everything lives in one
 //! `#[test]` so no parallel test inflates the counter):
 //!
-//! 1. the **warm-reset window** — `CacheSystem::reset_for` plus
-//!    in-place trace regeneration — performs exactly zero allocations
-//!    once the first evaluations have grown every buffer to its
-//!    high-water mark (clean, checker-free points);
+//! 1. the **per-point set-up window** — `CacheSystem::reset_for`,
+//!    in-place trace regeneration and the functional `warm` — performs
+//!    exactly zero allocations once the first evaluations have grown
+//!    every buffer to its high-water mark (clean, checker-free points);
 //! 2. end to end, steady-state warm points through
 //!    [`SimArena::run_point`] allocate an identical amount per point
-//!    (no creep) and strictly less than evaluating the same point with
-//!    fresh construction.
+//!    (no creep), fewer than [`POINT_CEILING`] times (what is left is
+//!    the timed `run`), and strictly less than evaluating the same
+//!    point with fresh construction;
+//! 3. building a Design A machine on a shared structure allocates fewer
+//!    than [`BUILD_CEILING`] times: cache state is one allocation per
+//!    bank and per column model, not one per set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +54,15 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const WARMUP: usize = 300;
 const MEASURED: usize = 60;
 
+/// Ceiling on one steady-state warm point (property 2). The nested
+/// per-set storage cost about 281 000 allocations in `warm` alone; the
+/// timed run of this 60-access point accounts for a few thousand.
+const POINT_CEILING: u64 = 10_000;
+
+/// Ceiling on `CacheSystem::with_structure` for Design A (property 3);
+/// 256 banks of 1024 one-way sets cost about 269 000 as nested `Vec`s.
+const BUILD_CEILING: u64 = 10_000;
+
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
@@ -70,7 +83,7 @@ fn point() -> SweepPoint {
 
 #[test]
 fn warm_sweep_path_is_allocation_free_in_steady_state() {
-    // ---- Property 1: the warm-reset window allocates exactly zero. ----
+    // ---- Property 1: the per-point set-up window allocates exactly zero. ----
     let cfg = Design::A.config(Scheme::MulticastFastLru);
     let mut sys = CacheSystem::new(&cfg);
     let profile = BenchmarkProfile::by_name("twolf").expect("profile");
@@ -98,10 +111,11 @@ fn warm_sweep_path_is_allocation_free_in_steady_state() {
     assert!(sys.reset_for(&cfg), "same machine must warm-reset");
     gen.reset_for(profile, syn);
     gen.generate_into(&mut trace, WARMUP, MEASURED);
+    sys.warm(trace.warmup());
     let window = allocations() - before;
     assert_eq!(
         window, 0,
-        "warm-reset window (reset_for + trace regeneration) allocated {window} times"
+        "set-up window (reset_for + trace regeneration + warm) allocated {window} times"
     );
 
     // ---- Property 2: steady-state arena points allocate equally, ----
@@ -130,6 +144,10 @@ fn warm_sweep_path_is_allocation_free_in_steady_state() {
         k, k1,
         "steady-state warm points must allocate identically (no creep): {k} vs {k1}"
     );
+    assert!(
+        k < POINT_CEILING,
+        "a steady-state warm point allocated {k} times (ceiling {POINT_CEILING})"
+    );
 
     // Fresh construction: a brand-new arena and structural cache pay
     // the layout build, the routing tables, and every simulator buffer
@@ -144,5 +162,18 @@ fn warm_sweep_path_is_allocation_free_in_steady_state() {
     assert!(
         k < fresh,
         "warm point must allocate strictly less than fresh construction: warm {k} vs fresh {fresh}"
+    );
+
+    // ---- Property 3: assembling a machine is O(banks) allocations. ----
+    let entry = structures
+        .get_or_build(&cfg, cfg.cores)
+        .expect("Design A builds");
+    let before = allocations();
+    let built = CacheSystem::with_structure(&cfg, &entry);
+    let build = allocations() - before;
+    drop(built);
+    assert!(
+        build < BUILD_CEILING,
+        "CacheSystem::with_structure allocated {build} times (ceiling {BUILD_CEILING})"
     );
 }

@@ -8,7 +8,11 @@
 //! reuses a carcass), a fault-schedule point is sandwiched between
 //! clean points on the *same* structure (so fault state must be fully
 //! scrubbed by the next reset), and a structure switch forces the
-//! arena to discard and rebuild mid-sweep.
+//! arena to discard and rebuild mid-sweep. A second campaign alternates
+//! long and short warm-ups on one structure, because the warm-up keeps
+//! per-column models alive across points and loads only the sets a
+//! trace touched: nothing of a long warm-up may survive into the next
+//! point, in the models or in the banks.
 
 use std::sync::Arc;
 
@@ -99,6 +103,50 @@ fn warm_sweeps_match_fresh_sweeps_bit_for_bit() {
                     f.label
                 );
             }
+        }
+    }
+}
+
+/// Long-warm-up points (30 000 accesses over 256 sets) alternating with
+/// short ones (40 accesses) on the same structure. The short points'
+/// measured windows reach far more sets than their warm-ups loaded, and
+/// every generator numbers its tags from zero, so a set left over from
+/// the long point before would turn misses into hits.
+fn long_short_campaign() -> Vec<SweepPoint> {
+    let cfg = Arc::new(Design::A.config(Scheme::MulticastFastLru));
+    ["gcc", "twolf", "mcf", "art", "vpr", "mesa"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let long = i % 2 == 0;
+            SweepPoint {
+                label: format!("{}-{name}", if long { "long" } else { "short" }).into(),
+                config: Arc::clone(&cfg),
+                profile: bench(name),
+                scale: ExperimentScale {
+                    warmup: if long { 30_000 } else { 40 },
+                    measured: 150,
+                    active_sets: 256,
+                    seed: derive_seed(0x57A1E, i as u64),
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn short_warmup_after_long_warmup_matches_fresh() {
+    let points = long_short_campaign();
+    let fresh = SweepRunner::with_workers(1).reuse(false).run(&points);
+    for workers in [1usize, 4] {
+        let warm = SweepRunner::with_workers(workers).run(&points);
+        for (f, w) in fresh.iter().zip(&warm) {
+            assert_eq!(
+                f.metrics, w.metrics,
+                "{}: warm metrics must be bit-identical to fresh (workers {workers})",
+                f.label
+            );
+            assert_eq!(f.ipc.to_bits(), w.ipc.to_bits(), "{}", f.label);
         }
     }
 }
